@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "serve/flight.h"
 #include "topk/query_metrics.h"
 
 namespace sparta::driver {
@@ -114,6 +115,7 @@ LatencyResult BenchDriver::RunLatencyLoop(
   }
   result.mean_recall =
       recall_n > 0 ? recall_sum / static_cast<double>(recall_n) : 0.0;
+  result.recall_measured = recall_n > 0;
   result.mean_oom_recall =
       result.oom > 0 ? oom_recall_sum / static_cast<double>(result.oom)
                      : 0.0;
@@ -135,79 +137,86 @@ ThroughputResult BenchDriver::MeasureThroughput(
   sim::SimExecutor executor(MakeSimConfig(workers));
   executor.page_cache().Reset();
 
-  struct InFlight {
-    std::unique_ptr<exec::QueryContext> ctx;
-    std::unique_ptr<topk::QueryRun> run;
-    const corpus::Query* query = nullptr;
+  // Both drains harvest as they go: a drained query's run and context
+  // are freed at the next admission, so only in-flight queries hold
+  // execution state. `record` is the query's admission index.
+  serve::Flights active(executor);
+  const auto launch = [&](const corpus::Query& query, std::size_t record,
+                          exec::VirtualTime now) {
+    serve::Flight flight;
+    flight.record = record;
+    flight.ctx = executor.CreateQueryAt(now);
+    if (params.deadline != exec::kNever) {
+      flight.ctx->set_deadline(now + params.deadline);
+    }
+    flight.run = algo.Prepare(dataset_.index(), query, params, *flight.ctx);
+    flight.run->Start();
+    active.Add(std::move(flight));
   };
 
   // Warmup drain: the first `warmup` queries run to completion and warm
   // the page cache, but their drain is excluded from the measured
   // makespan (the post-drain barrier restarts the clock baseline).
   if (warmup > 0) {
-    std::vector<InFlight> discard;
-    discard.reserve(warmup);
+    const auto discard = [](serve::Flight& flight) {
+      (void)flight.run->TakeResult();
+    };
     std::size_t next_warm = 0;
     executor.Drain([&](exec::VirtualTime now) -> bool {
+      active.HarvestDrained(discard);
       if (next_warm >= warmup) return false;
-      InFlight flight;
-      flight.query = &queries[next_warm];
-      flight.ctx = executor.CreateQueryAt(now);
-      if (params.deadline != exec::kNever) {
-        flight.ctx->set_deadline(now + params.deadline);
-      }
-      flight.run = algo.Prepare(dataset_.index(), *flight.query, params,
-                                *flight.ctx);
-      flight.run->Start();
-      discard.push_back(std::move(flight));
+      launch(queries[next_warm], next_warm, now);
       ++next_warm;
       return next_warm < warmup;
     });
-    for (auto& flight : discard) (void)flight.run->TakeResult();
+    active.HarvestDrained(discard);
     executor.SyncBarrier();
   }
   const std::span<const corpus::Query> measured = queries.subspan(warmup);
 
-  std::vector<InFlight> flights;
-  flights.reserve(measured.size());
+  // Per-query outcomes, by admission index: the aggregates below fold
+  // them in admission order whatever order the queries drained in. The
+  // oracle runs after the drain, so its allocations never interleave
+  // with the measured queries'.
+  struct Outcome {
+    topk::SearchResult search;
+    exec::VirtualTime end = 0;
+  };
+  std::vector<Outcome> outcomes(measured.size());
+  const auto keep = [&](serve::Flight& flight) {
+    Outcome& out = outcomes[flight.record];
+    out.search = flight.run->TakeResult();
+    out.end = flight.ctx->end_time();
+    topk::ValidateQueryStats(out.search.stats, "MeasureThroughput");
+  };
 
   std::size_t next = 0;
   exec::VirtualTime first_admit = 0;
-  const auto admit = [&](exec::VirtualTime now) -> bool {
+  executor.Drain([&](exec::VirtualTime now) -> bool {
+    active.HarvestDrained(keep);
     if (next >= measured.size()) return false;
     if (next == 0) first_admit = now;
-    InFlight flight;
-    flight.query = &measured[next];
-    flight.ctx = executor.CreateQueryAt(now);
-    if (params.deadline != exec::kNever) {
-      flight.ctx->set_deadline(now + params.deadline);
-    }
-    flight.run = algo.Prepare(dataset_.index(), *flight.query, params,
-                              *flight.ctx);
-    flight.run->Start();
-    flights.push_back(std::move(flight));
+    launch(measured[next], next, now);
     ++next;
     return next < measured.size();
-  };
-  executor.Drain(admit);
-  SPARTA_CHECK_MSG(!flights.empty(),
-                   "MeasureThroughput admitted zero queries");
+  });
+  active.HarvestDrained(keep);
+  SPARTA_CHECK(next == measured.size() && active.empty());
 
   ThroughputResult result;
-  result.queries = flights.size();
+  result.queries = outcomes.size();
   exec::VirtualTime makespan_end = first_admit;
   double recall_sum = 0.0;
   std::size_t recall_n = 0;
-  for (auto& flight : flights) {
-    const auto search = flight.run->TakeResult();
-    topk::ValidateQueryStats(search.stats, "MeasureThroughput");
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const topk::SearchResult& search = outcomes[i].search;
     if (search.status == topk::ResultStatus::kOom) {
       ++result.oom;
       continue;
     }
     if (search.degraded()) ++result.degraded;
-    makespan_end = std::max(makespan_end, flight.ctx->end_time());
-    const auto& exact = Oracle(*flight.query, params.k);
+    makespan_end = std::max(makespan_end, outcomes[i].end);
+    const auto& exact = Oracle(measured[i], params.k);
     recall_sum += topk::Recall(exact, search.entries);
     ++recall_n;
   }

@@ -39,6 +39,9 @@ struct LatencyResult {
   std::size_t oom = 0;       ///< ResultStatus::kOom
   std::size_t degraded = 0;  ///< deadline- or fault-degraded (anytime)
   double mean_recall = 0.0;  ///< over non-OOM queries, degraded included
+  /// False when recall was not measured (measure_recall off, or every
+  /// query OOMed): mean_recall is then a placeholder, not a result.
+  bool recall_measured = false;
   double mean_oom_recall = 0.0;  ///< achieved recall of the kOom queries
   std::uint64_t postings = 0;
   std::uint64_t io_retries = 0;

@@ -41,7 +41,7 @@ void BenchJson::SetLatency(const std::string& config,
           : static_cast<double>(result.latency_ns.Percentile(50)) / 1e6);
   Set(config, "p99_virtual_ms", result.P99Ms());
   Set(config, "postings", static_cast<double>(result.postings));
-  Set(config, "recall", result.mean_recall);
+  if (result.recall_measured) Set(config, "recall", result.mean_recall);
 }
 
 std::string BenchJson::ToJson() const {

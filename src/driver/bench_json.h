@@ -24,7 +24,8 @@ class BenchJson {
            double value);
 
   /// Records the standard latency metrics of one measured config:
-  /// mean/p50/p99 virtual ms, postings scanned, recall.
+  /// mean/p50/p99 virtual ms, postings scanned, and recall when it was
+  /// measured (an unmeasured recall is omitted, never written as 0).
   void SetLatency(const std::string& config, const LatencyResult& result);
 
   std::string ToJson() const;

@@ -9,6 +9,7 @@
 #include "core/snapshot_search.h"
 #include "index/epoch.h"
 #include "obs/trace.h"
+#include "serve/flight.h"
 #include "serve/policy.h"
 #include "util/common.h"
 #include "util/serial_domain.h"
@@ -68,15 +69,7 @@ LiveServeResult LiveServer::ServeOnSim(
   auto epoch_lock = lock_owner->MakeLock();
   index::EpochManager& epochs = live_.epochs();
 
-  struct Flight {
-    std::size_t record = 0;
-    std::unique_ptr<exec::QueryContext> ctx;
-    std::unique_ptr<topk::QueryRun> run;
-    index::EpochManager::Pin pin;
-  };
-  std::vector<Flight> flights;
-  flights.reserve(arrivals.size());
-  std::vector<std::size_t> active;  // unharvested indices into flights
+  Flights active(executor);       // dispatched, not yet harvested
   std::deque<std::size_t> queue;    // admitted records awaiting dispatch
   std::vector<std::unique_ptr<exec::QueryContext>> ingest_flights;
   std::vector<std::shared_ptr<MergeState>> merge_flights;
@@ -224,37 +217,18 @@ LiveServeResult LiveServer::ServeOnSim(
     merge_flights.push_back(std::move(state));
   };
 
+  // The drained query's release also unpins its snapshot.
   const auto harvest = [&]() {
-    std::vector<std::size_t> done;
-    for (std::size_t i = 0; i < active.size();) {
-      Flight& f = flights[active[i]];
-      if (f.ctx->outstanding_jobs() == 0) {
-        done.push_back(active[i]);
-        active[i] = active.back();
-        active.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    std::sort(done.begin(), done.end(),
-              [&](std::size_t a, std::size_t b) {
-                const auto ta = flights[a].ctx->end_time();
-                const auto tb = flights[b].ctx->end_time();
-                return ta != tb ? ta < tb
-                                : flights[a].record < flights[b].record;
-              });
-    for (const std::size_t i : done) {
-      Flight& f = flights[i];
+    active.HarvestDrained([&](Flight& f) {
       ServedQuery& rec = serve.queries[f.record];
       rec.completion = f.ctx->end_time();
       rec.result = f.run->TakeResult();
       rec.result.stats.latency = rec.completion - rec.dispatch;
       rec.result.stats.queue_wait = rec.QueueWait();
       rec.result.stats.admission_outcome = AdmissionOutcome::kAdmitted;
-      f.pin.Release();  // the drained query unpins its snapshot
       policy.OnComplete(rec.completion, rec.completion - rec.dispatch,
                         rec.result.status, rec.probe);
-    }
+    });
     std::erase_if(ingest_flights, [](const auto& ctx) {
       return ctx->outstanding_jobs() == 0;
     });
@@ -321,8 +295,7 @@ LiveServeResult LiveServer::ServeOnSim(
                                      queries[rec.query_index], params,
                                      *f.ctx);
     f.run->Start();
-    active.push_back(flights.size());
-    flights.push_back(std::move(f));
+    active.Add(std::move(f));
   };
 
   const auto admit = [&](exec::VirtualTime now) -> bool {

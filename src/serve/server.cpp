@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "obs/trace.h"
+#include "serve/flight.h"
 #include "serve/policy.h"
 #include "util/common.h"
 
@@ -38,14 +39,7 @@ ServeResult Server::ServeOnSim(sim::SimExecutor& executor,
   }
   std::uint64_t breaker_trips_seen = 0;
 
-  struct Flight {
-    std::size_t record = 0;
-    std::unique_ptr<exec::QueryContext> ctx;
-    std::unique_ptr<topk::QueryRun> run;
-  };
-  std::vector<Flight> flights;
-  flights.reserve(arrivals.size());
-  std::vector<std::size_t> active;  // unharvested indices into flights
+  Flights active(executor);       // dispatched, not yet harvested
   std::deque<std::size_t> queue;    // admitted records awaiting dispatch
   std::size_t next_arrival = 0;
 
@@ -74,31 +68,9 @@ ServeResult Server::ServeOnSim(sim::SimExecutor& executor,
   };
 
   // Completions feed the drain-rate EWMA and the breaker before any
-  // decision at or after their completion time. A started query with
-  // zero outstanding jobs is finished (jobs only beget jobs while
-  // running); batches are processed in completion order so the
-  // inter-departure estimate sees real spacing.
+  // decision at or after their completion time.
   const auto harvest = [&]() {
-    std::vector<std::size_t> done;
-    for (std::size_t i = 0; i < active.size();) {
-      Flight& f = flights[active[i]];
-      if (f.ctx->outstanding_jobs() == 0) {
-        done.push_back(active[i]);
-        active[i] = active.back();
-        active.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    std::sort(done.begin(), done.end(),
-              [&](std::size_t a, std::size_t b) {
-                const auto ta = flights[a].ctx->end_time();
-                const auto tb = flights[b].ctx->end_time();
-                return ta != tb ? ta < tb
-                                : flights[a].record < flights[b].record;
-              });
-    for (const std::size_t i : done) {
-      Flight& f = flights[i];
+    active.HarvestDrained([&](Flight& f) {
       ServedQuery& rec = result.queries[f.record];
       rec.completion = f.ctx->end_time();
       rec.result = f.run->TakeResult();
@@ -161,7 +133,7 @@ ServeResult Server::ServeOnSim(sim::SimExecutor& executor,
           }
         }
       }
-    }
+    });
   };
 
   const auto decide = [&](std::size_t idx) {
@@ -211,8 +183,7 @@ ServeResult Server::ServeOnSim(sim::SimExecutor& executor,
     }
     f.run = algo_.Prepare(index_, queries[rec.query_index], params, *f.ctx);
     f.run->Start();
-    active.push_back(flights.size());
-    flights.push_back(std::move(f));
+    active.Add(std::move(f));
   };
 
   const auto admit = [&](exec::VirtualTime now) -> bool {

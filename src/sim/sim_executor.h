@@ -18,9 +18,19 @@
 // same order as on real hardware.
 //
 // Determinism note: result sets and work counts are bit-reproducible.
-// Virtual latencies are reproducible to ~0.1%: the coherence model keys
-// cache lines by real addresses, and heap-allocation alignment decides
-// which lines small shared variables straddle run-to-run.
+// Virtual latencies carry allocator-layout jitter: the coherence model
+// keys cache lines by real addresses, and heap-allocation alignment
+// decides which lines small shared variables straddle. Latency mode
+// (CreateQuery) resets the lines per query; throughput mode
+// (CreateQueryAt) never does, so a query can alias the lines an earlier,
+// finished query left at recycled heap addresses, and any change to
+// allocation lifetimes shifts virtual latencies within this jitter.
+// Freeing drained queries in the serving loops, for example, moved p50
+// by at most 0.3%, p99 by at most 0.7% and goodput by at most 0.001% on
+// the perfbench voice_open (seeds 1-10) and live_ingest (seeds 1, 7)
+// workloads, and left recall and ok_frac unchanged. In MeasureThroughput
+// it moved Table 4's qps by at most 0.2% and recall by at most 0.07
+// points, because approximate variants stop on the jittered clock.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +66,11 @@ struct SimConfig {
   /// sim/race_detector.h). Detection hooks charge no virtual time;
   /// result sets and reports are unaffected, and latencies agree with
   /// detector-off runs up to the heap-layout jitter noted above (the
-  /// detector's shadow allocations shift coherence-line addresses).
+  /// detector's shadow allocations shift coherence-line addresses). Like
+  /// the coherence lines, the shadow state is keyed by address and is
+  /// never reset in throughput mode, so it must not see an address
+  /// recycled within a run: with the detector on, the serving loops keep
+  /// drained queries' state until the run ends (serve/flight.h).
   bool race_check = false;
   /// Seeded deterministic fault plan (see sim/fault_injector.h). The
   /// default plan is inert: no injector is constructed and every fault
@@ -79,7 +93,7 @@ struct SimConfig {
   /// time; with profiling on, coherence lines of registered ranges are
   /// keyed structure-relative instead of by heap address, so the same
   /// seed yields byte-identical contention reports and folded stacks
-  /// (and latencies lose the ~0.1% allocator-layout jitter noted above,
+  /// (and latencies lose the allocator-layout jitter noted above,
   /// at the price of differing from profiler-off runs unless the cost
   /// model is address-independent: costs.coherence_miss == costs.l1_hit).
   obs::ProfilerConfig profile;

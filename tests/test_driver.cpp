@@ -8,6 +8,7 @@
 
 #include "corpus/datasets.h"
 #include "driver/bench_driver.h"
+#include "driver/bench_json.h"
 #include "driver/experiment.h"
 #include "driver/table.h"
 #include "test_helpers.h"
@@ -85,6 +86,33 @@ TEST_F(DriverTest, MeasureLatencyBasics) {
   EXPECT_DOUBLE_EQ(res.mean_recall, 1.0);  // exact mode
 }
 
+TEST_F(DriverTest, BenchJsonWritesRecallOnlyWhenMeasured) {
+  BenchDriver bench(dataset_);
+  const auto algo = algos::MakeAlgorithm("Sparta");
+  topk::SearchParams params;
+  params.k = 10;
+  const auto& queries = dataset_.queries().OfLength(4);
+  const std::span<const corpus::Query> span{queries.data(), 3};
+  const auto measured = bench.MeasureLatency(*algo, span, params, 4);
+  const auto unmeasured = bench.MeasureLatency(*algo, span, params, 4,
+                                               /*measure_recall=*/false);
+  EXPECT_TRUE(measured.recall_measured);
+  EXPECT_FALSE(unmeasured.recall_measured);
+
+  BenchJson with("with_recall");
+  with.SetLatency("Sparta/w4", measured);
+  const std::string with_text = with.ToJson();
+  EXPECT_NE(with_text.find("\"recall\": 1\n"), std::string::npos)
+      << with_text;
+
+  BenchJson without("without_recall");
+  without.SetLatency("Sparta/w4", unmeasured);
+  const std::string without_text = without.ToJson();
+  EXPECT_NE(without_text.find("\"mean_virtual_ms\""), std::string::npos);
+  EXPECT_EQ(without_text.find("\"recall\""), std::string::npos)
+      << "an unmeasured recall must be absent, not 0:\n" << without_text;
+}
+
 TEST_F(DriverTest, OracleIsCached) {
   BenchDriver bench(dataset_);
   const auto& q = dataset_.queries().OfLength(3)[0];
@@ -107,6 +135,29 @@ TEST_F(DriverTest, ThroughputProcessesAllQueries) {
   EXPECT_EQ(res.oom, 0u);
   EXPECT_GT(res.qps, 0.0);
   EXPECT_DOUBLE_EQ(res.mean_recall, 1.0);
+}
+
+TEST_F(DriverTest, ThroughputHoldsOnlyInFlightQueries) {
+  BenchDriver bench(dataset_);
+  test::LiveRunCounter counter("Sparta");
+  topk::SearchParams params;
+  params.k = 10;
+  const auto& pool = dataset_.queries().OfLength(3);
+  ASSERT_FALSE(pool.empty());
+  std::vector<corpus::Query> queries;
+  for (std::size_t i = 0; i < 220; ++i) {
+    queries.push_back(pool[i % pool.size()]);
+  }
+  constexpr int kWorkers = 4;
+  const auto res =
+      bench.MeasureThroughput(counter, queries, params, kWorkers, 20);
+  EXPECT_EQ(res.queries, 200u);
+  EXPECT_EQ(res.oom, 0u);
+  EXPECT_DOUBLE_EQ(res.mean_recall, 1.0);
+  EXPECT_EQ(counter.live(), 0u);
+  // Admission tops up only while fewer than `workers` jobs are queued,
+  // and every unharvested query holds one of them.
+  EXPECT_LE(counter.peak(), static_cast<std::size_t>(kWorkers));
 }
 
 TEST_F(DriverTest, ThroughputBeatsOneByOneLatency) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,6 +14,7 @@
 #include "corpus/synthetic.h"
 #include "exec/threaded_executor.h"
 #include "index/builder.h"
+#include "serve/server.h"
 #include "sim/sim_executor.h"
 #include "topk/oracle.h"
 #include "topk/recall.h"
@@ -124,6 +128,80 @@ inline ::testing::AssertionResult IsExactTopK(
            << ", expected " << exact.topk.size();
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Decorator over a registered algorithm that counts the queries whose
+/// QueryRuns are alive — a run's constructor counts it in, its
+/// destructor out — and records the peak. Runs are grouped by execution
+/// context, because a snapshot search prepares one run per segment on
+/// the same context. Serving loops that free a query's state when it
+/// drains keep the peak near the in-flight count; loops that hold every
+/// finished query's state push it to the admitted count.
+class LiveRunCounter final : public topk::Algorithm {
+ public:
+  explicit LiveRunCounter(std::string_view inner)
+      : inner_(algos::MakeAlgorithm(inner)) {
+    SPARTA_CHECK(inner_ != nullptr);
+  }
+
+  std::string_view name() const override { return inner_->name(); }
+
+  std::unique_ptr<topk::QueryRun> Prepare(const index::InvertedIndex& idx,
+                                          std::vector<TermId> terms,
+                                          const topk::SearchParams& params,
+                                          exec::QueryContext& ctx)
+      const override {
+    return std::make_unique<CountedRun>(
+        inner_->Prepare(idx, std::move(terms), params, ctx), &ctx, *this);
+  }
+
+  /// Queries with at least one live run right now / at most ever.
+  std::size_t live() const { return runs_.size(); }
+  std::size_t peak() const { return peak_; }
+
+ private:
+  class CountedRun final : public topk::QueryRun {
+   public:
+    CountedRun(std::unique_ptr<topk::QueryRun> inner, const void* query,
+               const LiveRunCounter& counter)
+        : inner_(std::move(inner)), query_(query), counter_(counter) {
+      ++counter_.runs_[query_];
+      counter_.peak_ = std::max(counter_.peak_, counter_.runs_.size());
+    }
+    ~CountedRun() override {
+      if (--counter_.runs_[query_] == 0) counter_.runs_.erase(query_);
+    }
+    void Start() override { inner_->Start(); }
+    topk::SearchResult TakeResult() override { return inner_->TakeResult(); }
+
+   private:
+    std::unique_ptr<topk::QueryRun> inner_;
+    const void* query_;
+    const LiveRunCounter& counter_;
+  };
+
+  std::unique_ptr<topk::Algorithm> inner_;
+  mutable std::map<const void*, int> runs_;  ///< live runs per context
+  mutable std::size_t peak_ = 0;
+};
+
+/// The most admitted queries dispatched but not yet completed at any
+/// one instant ([dispatch, completion) intervals).
+inline std::size_t MaxInFlight(const serve::ServeResult& r) {
+  std::vector<std::pair<exec::VirtualTime, int>> events;
+  for (const auto& q : r.queries) {
+    if (q.outcome != topk::AdmissionOutcome::kAdmitted) continue;
+    events.emplace_back(q.dispatch, +1);
+    events.emplace_back(q.completion, -1);
+  }
+  std::sort(events.begin(), events.end());  // completions first on ties
+  std::size_t now = 0;
+  std::size_t most = 0;
+  for (const auto& [t, delta] : events) {
+    now = delta > 0 ? now + 1 : now - 1;
+    most = std::max(most, now);
+  }
+  return most;
 }
 
 }  // namespace sparta::test

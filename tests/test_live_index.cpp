@@ -464,7 +464,7 @@ serve::LiveServeResult RunLive(const LiveScenario& s,
 
 /// The clock-free projection of a live run: bit-stable per seed, never
 /// compares virtual timestamps (heap-layout jitter makes latencies
-/// reproducible only to ~0.1%).
+/// reproducible only to under 1%).
 struct LiveShape {
   std::vector<std::vector<topk::ResultEntry>> entries;
   std::vector<topk::AdmissionOutcome> outcomes;
@@ -516,6 +516,26 @@ TEST(LiveServe, IngestAndMergeUnderTrafficIsDeterministic) {
   // Same seeds, fresh machine and index: bit-identical replay.
   const auto r2 = RunLive(s, sim_config);
   EXPECT_EQ(ShapeOf(r1), ShapeOf(r2));
+}
+
+TEST(LiveServe, HoldsExecutionStateOnlyForInFlightQueries) {
+  LiveScenario s = MakeScenario();
+  s.config.serve.arrivals.count = 400;
+  s.config.serve.admission.queue_capacity = 64;
+  s.config.ingest.arrivals.count = 600;
+  LiveIndex live(MakeTinyIndex(1200, 7));
+  sim::SimConfig sim_config;
+  sim_config.num_workers = 4;
+  sim::SimExecutor executor(sim_config);
+  LiveRunCounter counter("Sparta");
+  serve::LiveServer server(live, counter, s.config);
+  const auto r = server.ServeOnSim(executor, s.queries, s.docs, s.params);
+  EXPECT_GT(r.merges_committed, 0u);
+  ASSERT_GT(r.serve.admitted, 300u);
+  EXPECT_EQ(counter.live(), 0u);
+  // Harvest frees each drained query's runs, context and snapshot pin.
+  EXPECT_LE(counter.peak(), MaxInFlight(r.serve) + 1);
+  EXPECT_LT(counter.peak() * 10, r.serve.admitted);
 }
 
 TEST(LiveServe, ConcurrentMergeHasZeroRaceFindings) {
